@@ -6,13 +6,12 @@
 //!
 //! 1. **per_call** — the pre-service pattern: one `Encoder::encode` call
 //!    per trajectory (what every caller of the old deprecated entry points
-//!    did per request). Each call pays the road-representation forward
-//!    pass for a single trajectory.
+//!    did per request). Both paths read road vectors from the model's
+//!    shared road table, so neither pays the road stage per request.
 //! 2. **service** — the same requests through `EmbeddingService` with the
-//!    cache *off*: micro-batching amortizes the road representations over
-//!    the batch and answers with bit-for-bit the per_call embeddings
-//!    (asserted). The headline figure is this speedup, which the
-//!    acceptance floor requires to be ≥ 2×.
+//!    cache *off*: micro-batched, answering with bit-for-bit the per_call
+//!    embeddings (asserted). The headline figure is this speedup, which
+//!    the acceptance floor requires to be ≥ 2×.
 //! 3. **service_cached** — a skewed request stream (each distinct
 //!    trajectory asked for ~4×) with the cache *on*, reporting the hit
 //!    rate and cached throughput.

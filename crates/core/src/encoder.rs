@@ -15,12 +15,16 @@
 //! - **Validation** (typed [`EncodeError`], no asserts): empty views are
 //!   rejected; over-long views are clamped to `cfg.max_len` when
 //!   [`EncodeOptions::clamp`] is set (the default) and rejected otherwise.
-//! - **Chunked pooled tapes**: views are encoded `chunk` at a time on an
-//!   eval-mode [`Graph`] that computes the road representation matrix once
-//!   per chunk; after every view the tape is pruned with
-//!   [`Graph::forward_release`] (keeping only the road matrix), so peak
-//!   memory stays at one-view scale regardless of `chunk`. Buffers cycle
-//!   through a [`BufferPool`] across chunks.
+//! - **Frozen road stage**: at inference the road vectors are a pure
+//!   function of the weights, so they come from [`StartModel::road_table`],
+//!   computed once per weight version and shared by every call, thread and
+//!   serving replica. A view's rows are copied out of that table; no tape
+//!   here records TPE-GAT. Training tapes still gather from the
+//!   `road_reprs` node, so gradients are untouched.
+//! - **Chunked pooled tapes**: views are encoded `chunk` at a time on one
+//!   eval-mode [`Graph`], reset after every view, so peak memory stays at
+//!   one-view scale regardless of `chunk`. Buffers cycle through a
+//!   [`BufferPool`] across chunks.
 //! - **Threading**: with `threads > 1`, whole chunks are distributed
 //!   round-robin over scoped workers. Chunk boundaries are identical to the
 //!   single-thread schedule and each view's embedding depends only on the
@@ -42,7 +46,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use start_nn::graph::Graph;
-use start_nn::BufferPool;
+use start_nn::{Array, BufferPool};
 use start_traj::{TrajView, Trajectory};
 
 use crate::model::{clamp_view, StartModel};
@@ -61,8 +65,9 @@ pub struct EncodeOptions {
     /// ([`EncodeError::ZeroThreads`]); `1` (the default) is the sequential
     /// schedule the multi-threaded output is defined to bitwise-match.
     pub threads: usize,
-    /// Views per tape chunk; the road representation matrix is computed once
-    /// per chunk. `0` falls back to [`EncodeOptions::DEFAULT_CHUNK`].
+    /// Views per tape chunk: the unit dealt to a worker thread and the span
+    /// over which one tape's buffers are recycled. It does not change the
+    /// output bits. `0` falls back to [`EncodeOptions::DEFAULT_CHUNK`].
     pub chunk: usize,
     /// Clamp over-long views to `cfg.max_len` (keeps the prefix). When
     /// `false`, over-long views are an [`EncodeError::TooLong`].
@@ -535,12 +540,14 @@ impl<'m> Encoder<'m> {
         let chunk = opts.chunk();
         let num_chunks = views.len().div_ceil(chunk.max(1));
         let threads = opts.threads().min(num_chunks).max(1);
+        let road_table = self.model.road_table();
+        let table: &Array = &road_table;
 
         if threads == 1 || pool.is_some() {
             let mut p = pool.unwrap_or_default();
             let mut out = Vec::with_capacity(views.len());
             for part in views.chunks(chunk) {
-                p = self.encode_chunk(part, p, &mut out);
+                p = self.encode_chunk(part, table, p, &mut out);
             }
             return (out, Some(p));
         }
@@ -562,7 +569,7 @@ impl<'m> Encoder<'m> {
                     let mut done = Vec::with_capacity(mine.len());
                     for (idx, part) in mine {
                         let mut embs = Vec::with_capacity(part.len());
-                        p = self.encode_chunk(part, p, &mut embs);
+                        p = self.encode_chunk(part, table, p, &mut embs);
                         done.push((idx, embs));
                     }
                     done
@@ -579,11 +586,13 @@ impl<'m> Encoder<'m> {
         (per_chunk.into_iter().flatten().collect(), None)
     }
 
-    /// One chunk on one pooled eval tape: road representations computed
-    /// once, the tape pruned back to them after every view.
+    /// One chunk on one pooled eval tape. Road vectors are copied out of the
+    /// model's frozen road table, so the tape never records the road stage
+    /// and is reset after every view.
     fn encode_chunk(
         &self,
         views: &[&TrajView],
+        table: &Array,
         pool: BufferPool,
         out: &mut Vec<Embedding>,
     ) -> BufferPool {
@@ -591,13 +600,11 @@ impl<'m> Encoder<'m> {
         // exists to satisfy the recording API and keep one code path.
         let mut rng = StdRng::seed_from_u64(0);
         let mut g = Graph::with_pool(&self.model.store, false, pool);
-        let roads = self.model.road_reprs(&mut g);
         for view in views {
-            let enc = self.model.encode_view(&mut g, view, roads, &mut rng);
+            let enc = self.model.encode_view_frozen(&mut g, view, table, &mut rng);
             out.push(g.value(enc.pooled).row(0).to_vec());
-            g.forward_release(&[roads]);
+            g.reset();
         }
-        g.reset();
         g.into_pool()
     }
 }

@@ -1,7 +1,7 @@
 //! The START model (§III): TPE-GAT road stage + Time-Aware Trajectory
 //! Encoder (TAT-Enc) with `[CLS]` pooling.
 
-use start_sync::Arc;
+use start_sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,6 +23,22 @@ enum RoadStage {
     Gat(TpeGat),
     /// Learnable embedding table (`w/o TPE-GAT` / `w/ Node2vec` ablations).
     Table(Embedding),
+}
+
+/// Where a view's road vectors come from.
+enum RoadRows<'a> {
+    /// Gathered from a `road_reprs` node on the tape, so gradients reach
+    /// the road stage.
+    Node(NodeId),
+    /// Copied out of the frozen eval road table ([`StartModel::road_table`]);
+    /// the tape carries no road stage at all.
+    Table(&'a Array),
+}
+
+/// The eval road table of one [`ParamStore::generation`].
+struct RoadTable {
+    generation: u64,
+    table: Arc<Array>,
 }
 
 /// An encoded trajectory view inside a live graph.
@@ -51,6 +67,8 @@ pub struct StartModel {
     /// Masked-road prediction head `W_m, b_m` (Eq. 12).
     mask_head: Linear,
     num_roads: usize,
+    /// Cache behind [`StartModel::road_table`].
+    road_table: Mutex<Option<RoadTable>>,
 }
 
 /// Special index 0 in the minute/day tables is the `[MASKT]` token (§III-C1),
@@ -149,6 +167,7 @@ impl StartModel {
             interval,
             mask_head,
             num_roads,
+            road_table: Mutex::new(None),
         }
     }
 
@@ -165,6 +184,32 @@ impl StartModel {
         }
     }
 
+    /// The `(|V|, d)` value of [`StartModel::road_reprs`] on an eval tape,
+    /// computed once per weight version and shared by every caller.
+    ///
+    /// At inference the road vectors depend only on the weights, so the
+    /// [`Encoder`](crate::encoder::Encoder) copies a view's rows out of this
+    /// table instead of re-running TPE-GAT per batch. The table is keyed on
+    /// [`ParamStore::generation`]: after any weight change (an optimizer
+    /// step, `load_params`, [`StartModel::adopt_weights`]) the next call
+    /// recomputes it, so a stale table is unreachable. The first caller
+    /// computes while holding the lock; racing callers wait and receive the
+    /// same `Arc`.
+    pub fn road_table(&self) -> Arc<Array> {
+        // Poison ride-through: the slot is replaced whole after the table is
+        // computed, so a panicking computation leaves the previous entry.
+        let mut slot = self.road_table.lock().unwrap_or_else(PoisonError::into_inner);
+        let generation = self.store.generation();
+        if let Some(cached) = slot.as_ref().filter(|c| c.generation == generation) {
+            return Arc::clone(&cached.table);
+        }
+        let mut g = Graph::new(&self.store, false);
+        let roads = self.road_reprs(&mut g);
+        let table = Arc::new(g.value(roads).clone());
+        *slot = Some(RoadTable { generation, table: Arc::clone(&table) });
+        table
+    }
+
     /// Eq. 5: fused token embeddings `x_i = r_i + t_mi + t_di + pe_i` for a
     /// view, with `[CLS]` prepended and `[MASK]`/`[MASKT]` substitution at
     /// masked positions. Returns a `(T+1, d)` node.
@@ -172,7 +217,7 @@ impl StartModel {
         &self,
         g: &mut Graph,
         view: &TrajView,
-        road_reprs: NodeId,
+        roads: RoadRows,
         rng: &mut StdRng,
     ) -> NodeId {
         let t = view.len();
@@ -180,8 +225,21 @@ impl StartModel {
         let d = self.cfg.dim;
 
         // Road vectors, with masked rows replaced by the [MASK] token.
-        let ids: Vec<u32> = view.roads.iter().map(|r| r.0).collect();
-        let gathered = g.gather_rows(road_reprs, Arc::new(ids));
+        let gathered = match roads {
+            RoadRows::Node(road_reprs) => {
+                let ids = view.roads.iter().map(|r| r.0).collect();
+                g.gather_rows(road_reprs, Arc::new(ids))
+            }
+            RoadRows::Table(table) => {
+                // `row` is a checked slice: an out-of-range road id panics
+                // here, as the gather on the node path does.
+                let mut rows = Vec::with_capacity(t * d);
+                for r in &view.roads {
+                    rows.extend_from_slice(table.row(r.0 as usize));
+                }
+                g.input(Array::from_vec(t, d, rows))
+            }
+        };
         let roads = if view.masked.iter().any(|&m| m) {
             let keep = Array::from_vec(
                 t,
@@ -250,9 +308,23 @@ impl StartModel {
         road_reprs: NodeId,
         rng: &mut StdRng,
     ) -> EncodedView {
-        let hidden = self.encode_view_hidden(g, view, road_reprs, rng);
-        let pooled = g.select_row(hidden, 0);
-        EncodedView { hidden, pooled }
+        let hidden = self.hidden_from(g, view, RoadRows::Node(road_reprs), rng);
+        EncodedView { hidden, pooled: g.select_row(hidden, 0) }
+    }
+
+    /// [`StartModel::encode_view`] reading road vectors from a frozen
+    /// [`StartModel::road_table`] rather than a tape node: the eval path,
+    /// bitwise equal to gathering from `road_reprs` on an eval tape but
+    /// without recording the road stage. No gradient reaches the road stage.
+    pub(crate) fn encode_view_frozen(
+        &self,
+        g: &mut Graph,
+        view: &TrajView,
+        road_table: &Array,
+        rng: &mut StdRng,
+    ) -> EncodedView {
+        let hidden = self.hidden_from(g, view, RoadRows::Table(road_table), rng);
+        EncodedView { hidden, pooled: g.select_row(hidden, 0) }
     }
 
     /// TAT-Enc token states only, without the `[CLS]` pooling gather —
@@ -265,7 +337,17 @@ impl StartModel {
         road_reprs: NodeId,
         rng: &mut StdRng,
     ) -> NodeId {
-        let x = self.embed_view(g, view, road_reprs, rng);
+        self.hidden_from(g, view, RoadRows::Node(road_reprs), rng)
+    }
+
+    fn hidden_from(
+        &self,
+        g: &mut Graph,
+        view: &TrajView,
+        roads: RoadRows,
+        rng: &mut StdRng,
+    ) -> NodeId {
+        let x = self.embed_view(g, view, roads, rng);
         let bias = self.interval.forward(g, &view.times);
         self.encoder.forward(g, x, bias, rng)
     }
@@ -336,6 +418,81 @@ mod tests {
             data.iter().map(|t| t.roads.as_slice()),
         );
         (city, data, tm)
+    }
+
+    fn bits(v: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        v.iter().map(|e| e.iter().map(|x| x.to_bits()).collect()).collect()
+    }
+
+    /// Shift one TPE-GAT weight tensor through `ParamStore::get_mut`.
+    fn nudge_gat(model: &mut StartModel) {
+        let id = model.store.lookup("gat.l0.h0.w1").expect("TPE-GAT weight");
+        model.store.get_mut(id).data_mut().iter_mut().for_each(|w| *w += 0.25);
+    }
+
+    #[test]
+    fn road_table_is_rebuilt_after_get_mut() {
+        let (city, data, tm) = setup();
+        let build = || StartModel::new(StartConfig::test_scale(), &city.net, Some(&tm), None, 7);
+        let mut model = build();
+        let before = encode(&model, &data[..4]);
+        nudge_gat(&mut model);
+        let after = encode(&model, &data[..4]);
+        assert_ne!(bits(&before), bits(&after), "a TPE-GAT weight change must show");
+        // Reference: a model that never encoded with the old weights.
+        let mut fresh = build();
+        nudge_gat(&mut fresh);
+        assert_eq!(bits(&after), bits(&encode(&fresh, &data[..4])));
+    }
+
+    #[test]
+    fn road_table_is_rebuilt_after_adopt_weights() {
+        let (city, data, tm) = setup();
+        let build =
+            |seed| StartModel::new(StartConfig::test_scale(), &city.net, Some(&tm), None, seed);
+        let mut model = build(7);
+        let before = encode(&model, &data[..4]);
+        let donor = build(8);
+        assert_eq!(model.adopt_weights(&donor), model.store.len());
+        let after = encode(&model, &data[..4]);
+        assert_ne!(bits(&before), bits(&after));
+        assert_eq!(bits(&after), bits(&encode(&build(8), &data[..4])));
+    }
+
+    #[test]
+    fn road_table_is_shared_until_the_weights_change() {
+        let (city, _, tm) = setup();
+        let mut model = StartModel::new(StartConfig::test_scale(), &city.net, Some(&tm), None, 7);
+        let a = model.road_table();
+        assert!(Arc::ptr_eq(&a, &model.road_table()));
+        assert_eq!(a.shape(), (city.net.num_segments(), 32));
+        // Bitwise the value of `road_reprs` on an eval tape.
+        let mut g = Graph::new(&model.store, false);
+        let roads = model.road_reprs(&mut g);
+        assert_eq!(bits(&[g.value(roads).data().to_vec()]), bits(&[a.data().to_vec()]));
+        drop(g);
+        nudge_gat(&mut model);
+        assert!(!Arc::ptr_eq(&a, &model.road_table()));
+    }
+
+    /// The frozen eval path and the tape-node path give the same bits, for
+    /// plain and masked views.
+    #[test]
+    fn frozen_table_path_matches_the_node_path_bitwise() {
+        let (city, data, tm) = setup();
+        let model = StartModel::new(StartConfig::test_scale(), &city.net, Some(&tm), None, 7);
+        let table = model.road_table();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut masked = TrajView::identity(&data[1]);
+        masked.masked[0] = true;
+        for view in [TrajView::identity(&data[0]), masked] {
+            let mut g = Graph::new(&model.store, false);
+            let roads = model.road_reprs(&mut g);
+            let node = model.encode_view(&mut g, &view, roads, &mut rng).pooled;
+            let frozen = model.encode_view_frozen(&mut g, &view, &table, &mut rng).pooled;
+            let [node, frozen] = [node, frozen].map(|n| g.value(n).data().to_vec());
+            assert_eq!(bits(&[node]), bits(&[frozen]));
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Executable concurrency model for the sharded-LRU [`EmbeddingCache`],
-//! explored by the `start_sync` model checker. The real cache type runs
-//! under the checker (its `Mutex` shards and hit/miss atomics are shim
-//! primitives), so every interleaving of concurrent inserts and lookups is
-//! checked for deadlock and for snapshot coherence.
+//! Executable concurrency models for the sharded-LRU [`EmbeddingCache`]
+//! and the shared eval road table, explored by the `start_sync` model
+//! checker. The real types run under the checker (their `Mutex`es and
+//! atomics are shim primitives), so every interleaving of concurrent
+//! inserts, lookups and first road-table computations is checked for
+//! deadlock and for coherence.
 //!
-//! CI floor: at least 1,000 distinct clean schedules, pinned seeds.
+//! CI floor: at least 1,000 distinct clean schedules per cache model and
+//! 150 for the road-table model, pinned seeds.
 
-use start_core::{EmbeddingCache, Fingerprint};
+use start_core::{EmbeddingCache, Fingerprint, StartConfig, StartModel};
+use start_roadnet::synth::{generate_city, CityConfig};
 use start_sync::model::{check, spawn_named, ModelConfig};
 use start_sync::Arc;
 
@@ -98,4 +101,29 @@ fn cache_same_key_write_race_model_is_clean() {
         "explored only {} schedules",
         report.distinct_schedules
     );
+}
+
+/// Two replicas' workers race the first `road_table()` of one shared model:
+/// in every interleaving exactly one computes it and both receive the same
+/// `Arc` (the table a `Router` shares across replicas), never two copies.
+#[test]
+fn road_table_first_use_race_model_is_clean() {
+    let net = Arc::new(generate_city("t", &CityConfig::tiny()).net);
+    let cfg = ModelConfig { max_schedules: 200, random_iters: 50, ..ModelConfig::default() };
+    let report = check(&cfg, move || {
+        let model = Arc::new(StartModel::new(StartConfig::test_scale(), &net, None, None, 7));
+        let racer = |name: &'static str| {
+            let m = Arc::clone(&model);
+            spawn_named(name, move || m.road_table())
+        };
+        let (a, b) = (racer("replica-a"), racer("replica-b"));
+        let (a, b) = (a.join().expect("racer a"), b.join().expect("racer b"));
+        assert!(Arc::ptr_eq(&a, &b), "racing first uses built two road tables");
+        assert!(Arc::ptr_eq(&a, &model.road_table()), "a settled table was rebuilt");
+    });
+    report.assert_clean();
+    // Each execution builds a model and runs the road stage, so this model
+    // explores fewer schedules than the cache models; the computation's own
+    // atomics (parameter stamps, kernel dispatch) still give it over 150.
+    assert!(report.distinct_schedules >= 150, "only {} schedules", report.distinct_schedules);
 }

@@ -6,8 +6,15 @@
 //! [`crate::graph::Graph::param`]. Gradients live in a parallel
 //! [`GradStore`] so the store itself can be shared immutably across
 //! inference threads.
+//!
+//! Every `&mut` method stamps the store with a fresh [`ParamStore::generation`],
+//! so a value derived from the weights (an eval road table, say) can be
+//! cached next to the generation it was computed at and recognised as stale
+//! once any weight changes.
 
 use std::collections::HashMap;
+
+use start_sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -47,16 +54,35 @@ struct Entry {
     no_decay: bool,
 }
 
+/// Source of [`ParamStore::generation`] stamps. Process-wide, so two stores
+/// never share a nonzero stamp: replacing a model's whole store cannot
+/// alias the generation a cache was keyed on.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
 /// Owns all trainable tensors of a model, addressable by name or id.
 #[derive(Default)]
 pub struct ParamStore {
     entries: Vec<Entry>,
     index: HashMap<String, ParamId>,
+    generation: u64,
 }
 
 impl ParamStore {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Stamp of the last mutation. A new store is at 0; every call of a
+    /// `&mut` method (`param`, `set_no_decay`, `get_mut`, `load_matching`)
+    /// takes a fresh stamp that no other store of this process holds. An
+    /// unchanged generation therefore means unchanged weights.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn bump(&mut self) {
+        // relaxed-ok: a unique-id counter; nothing is published through it
+        self.generation = NEXT_GENERATION.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Allocate a fresh parameter. Panics if `name` is already taken.
@@ -70,6 +96,7 @@ impl ParamStore {
     ) -> ParamId {
         let name = name.into();
         assert!(!self.index.contains_key(&name), "duplicate parameter name {name:?}");
+        self.bump();
         let value = init_array(rows, cols, init, rng);
         let no_decay = rows == 1 || cols == 1;
         let id = ParamId(self.entries.len());
@@ -80,6 +107,7 @@ impl ParamStore {
 
     /// Mark a parameter (e.g. an embedding table) as exempt from weight decay.
     pub fn set_no_decay(&mut self, id: ParamId) {
+        self.bump();
         self.entries[id.0].no_decay = true;
     }
 
@@ -91,7 +119,10 @@ impl ParamStore {
         &self.entries[id.0].value
     }
 
+    /// Mutable access to one tensor; bumps the generation up front, since
+    /// the caller may write through the reference.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Array {
+        self.bump();
         &mut self.entries[id.0].value
     }
 
@@ -129,6 +160,7 @@ impl ParamStore {
     /// Returns the number of tensors copied. Used for cross-city transfer
     /// (Table III), where road-count-dependent tensors are left untouched.
     pub fn load_matching(&mut self, source: &ParamStore) -> usize {
+        self.bump();
         let mut copied = 0;
         for entry in &mut self.entries {
             if let Some(src) = source.lookup(&entry.name) {
@@ -271,6 +303,35 @@ mod tests {
         assert!(store.no_decay(b));
         assert!(!store.no_decay(w));
         assert_eq!(store.num_scalars(), 15);
+    }
+
+    /// Every `&mut` method must move the generation, or a cache keyed on it
+    /// (the eval road table) could serve values of the old weights.
+    #[test]
+    fn every_mutating_method_bumps_the_generation() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut store = ParamStore::new();
+        let mut last = store.generation();
+        let mut moved = |store: &ParamStore, what: &str| {
+            let now = store.generation();
+            assert_ne!(now, last, "{what} left the generation at {last}");
+            last = now;
+        };
+        let w = store.param("w", 2, 2, Init::Zeros, &mut rng);
+        moved(&store, "param");
+        store.set_no_decay(w);
+        moved(&store, "set_no_decay");
+        store.get_mut(w).fill(1.0);
+        moved(&store, "get_mut");
+        let mut other = ParamStore::new();
+        other.param("w", 2, 2, Init::Ones, &mut rng);
+        store.load_matching(&other);
+        moved(&store, "load_matching");
+        // Reads leave it alone.
+        let _ = (store.get(w), store.lookup("w"), store.no_decay(w), store.num_scalars());
+        assert_eq!(store.generation(), last);
+        // Stamps are process-wide: two stores never share one.
+        assert_ne!(other.generation(), store.generation());
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! starts a fresh cache pinned to the new version epoch (see the
 //! `service` module docs). Because every replica performs the same
 //! `version + 1` bump, replica versions stay in lockstep and
-//! [`Router::model_version`] is well defined.
+//! [`Router::model_version`] is well defined. Every replica holds the same
+//! `Arc<StartModel>`, so the version's road table is computed once, by the
+//! first replica, and shared by all.
 //!
 //! [`EmbeddingCache`]: start_core::EmbeddingCache
 

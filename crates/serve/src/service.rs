@@ -20,8 +20,10 @@
 //! in-flight counter)` behind an `RwLock`. Every micro-batch pins the slot
 //! once — it clones the `Arc`s, registers with the slot's in-flight
 //! counter *while still holding the read lock*, then encodes without any
-//! lock held. [`EmbeddingService::publish`] double-buffers: it write-locks
-//! the slot, installs the new model under `version + 1` with a **fresh**
+//! lock held. [`EmbeddingService::publish`] double-buffers: it first
+//! computes the new model's shared road table
+//! ([`StartModel::road_table`]) with no lock held, then write-locks the
+//! slot, installs the new model under `version + 1` with a **fresh**
 //! cache pinned to the new epoch, releases the lock, and then drains —
 //! waits until the old slot's in-flight count reaches zero, at which point
 //! every reply produced from the old weights has already been sent. Two
@@ -294,6 +296,9 @@ impl EmbeddingService {
             IndexKind::Hnsw(hnsw_cfg) => Box::new(Hnsw::new(dim, hnsw_cfg.clone())),
         };
         let workers = cfg.workers.max(1);
+        // Warm the road table so the first micro-batch does not pay for the
+        // road stage; replicas sharing this `Arc` reuse the same table.
+        model.road_table();
         let slot = ModelSlot {
             version: 0,
             model,
@@ -375,6 +380,11 @@ impl EmbeddingService {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: standalone reject tally
             return Err(ServeError::DimensionMismatch { expected, got: model.cfg.dim });
         }
+        // Compute the new version's road table before taking the write
+        // lock, so neither the swap nor the first new-version batch waits
+        // on the road stage. A `Router` publishes one `Arc` to every
+        // replica, so only the first replica computes it.
+        model.road_table();
         let old = {
             let mut slot = self.shared.slot.write().unwrap_or_else(PoisonError::into_inner);
             let version = slot.version + 1;

@@ -1,30 +1,60 @@
-//! Serving observability: wait-free log-bucketed latency histograms and
+//! Serving observability: wait-free log-linear latency histograms and
 //! point-in-time [`ServiceStats`] snapshots.
 
 use start_sync::atomic::{AtomicU64, Ordering};
 
 use start_core::CacheStats;
 
-/// A power-of-two-bucketed histogram of microsecond latencies.
+/// Sub-buckets per octave, as a power of two: 2^3 = 8.
+const SUB_BITS: u32 = 3;
+const SUB: usize = 1 << SUB_BITS;
+/// Values below `SUB` get one exact bucket each; every octave
+/// `[2^e, 2^(e+1))` from `e = SUB_BITS` up to 63 gets `SUB` more.
+const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
+
+/// The bucket holding `us`.
+fn bucket_of(us: u64) -> usize {
+    if us < SUB as u64 {
+        return us as usize;
+    }
+    let octave = 63 - us.leading_zeros(); // >= SUB_BITS
+    let shift = octave - SUB_BITS;
+    let sub = (us >> shift) as usize & (SUB - 1);
+    SUB + shift as usize * SUB + sub
+}
+
+/// The smallest and the largest value of bucket `i` (both inclusive).
+fn bucket_range(i: usize) -> (u64, u64) {
+    if i < SUB {
+        return (i as u64, i as u64);
+    }
+    let shift = ((i - SUB) / SUB) as u32;
+    let sub = ((i - SUB) % SUB) as u64;
+    let lo = (SUB as u64 + sub) << shift;
+    // Written as lo + (width - 1) so the top bucket ends at u64::MAX
+    // without overflowing.
+    (lo, lo + ((1u64 << shift) - 1))
+}
+
+/// A log-linear histogram of microsecond latencies.
 ///
-/// Bucket `i` in `1..63` counts samples in `[2^(i-1), 2^i)` µs; bucket 0
-/// counts zeros; the top bucket (63) is open-ended, `[2^62, ∞)` — samples
-/// at or above 2⁶³ µs land there too, outside the power-of-two invariant
-/// the lower buckets keep. Quantiles that fall in the top bucket report
-/// the observed maximum rather than a nominal bucket edge. The running sum
-/// saturates at `u64::MAX` instead of wrapping, so `mean_us` degrades to a
-/// pessimistic floor on pathological inputs instead of silently
-/// corrupting after long uptimes.
+/// Values below 8 µs get one bucket each; every octave `[2^e, 2^(e+1))`
+/// above is split into 8 equal sub-buckets, so a bucket is at most 1/8 as
+/// wide as its smallest value. 496 buckets cover all of `u64`. A quantile
+/// is reported as the largest value of the bucket that holds it, capped at
+/// the observed maximum: never below the true sample, at most 12.5% above
+/// it, and never above `max_us`. The running sum saturates at `u64::MAX`
+/// instead of wrapping, so `mean_us` degrades to a pessimistic floor on
+/// pathological inputs instead of silently corrupting after long uptimes.
 ///
-/// `record` is a handful of relaxed atomic updates — lock-free (the
-/// saturating sum is a CAS loop that only retries under contention on the
-/// same counter), callable from every worker — and `snapshot` walks the
-/// buckets without stopping recorders, so a snapshot taken under load is
-/// approximate. Quantiles are reported as the upper edge of the bucket
-/// containing them (≤ 2× resolution), which is exactly what a latency
-/// monitor needs and nothing a correctness test should depend on.
+/// `record` is a handful of relaxed atomic updates (one bucket, count,
+/// sum, max) — lock-free (the saturating sum is a CAS loop that only
+/// retries under contention on the same counter), callable from every
+/// worker — and `snapshot` walks the buckets without stopping recorders,
+/// so a snapshot taken under load is approximate. That resolution is what
+/// a latency monitor needs and nothing a correctness test should depend on.
 pub struct Histogram {
-    buckets: [AtomicU64; 64],
+    buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_us: AtomicU64,
     max_us: AtomicU64,
@@ -42,12 +72,9 @@ impl Histogram {
 
     /// Record one latency sample, in microseconds.
     pub fn record_us(&self, us: u64) {
-        // `bucket.min(63)` folds the >= 2^63 range into the open-ended top
-        // bucket — see the type docs for its semantics.
-        let bucket = (64 - us.leading_zeros()) as usize; // 0 for us == 0
-                                                         // relaxed-ok: independent monotone tallies; snapshots are documented
-                                                         // as approximate under load, no cross-counter ordering is promised.
-        self.buckets[bucket.min(63)].fetch_add(1, Ordering::Relaxed);
+        // relaxed-ok: independent monotone tallies; snapshots are documented
+        // as approximate under load, no cross-counter ordering is promised.
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed); // relaxed-ok: see above
                                                     // Saturate rather than wrap: a sum pinned at u64::MAX yields an
                                                     // obviously-degenerate mean; a wrapped sum yields a believable lie.
@@ -58,10 +85,9 @@ impl Histogram {
         self.max_us.fetch_max(us, Ordering::Relaxed); // relaxed-ok: monotone max
     }
 
-    /// Upper bucket edge (µs) of the sample at quantile `q` in `[0, 1]`.
-    /// The top bucket has no upper edge; quantiles landing there report the
-    /// observed maximum instead.
-    fn quantile_us(&self, counts: &[u64; 64], total: u64, q: f64) -> u64 {
+    /// The sample at quantile `q` in `[0, 1]`, as the largest value of its
+    /// bucket capped at the observed maximum `max`.
+    fn quantile_us(counts: &[u64; BUCKETS], total: u64, max: u64, q: f64) -> u64 {
         if total == 0 {
             return 0;
         }
@@ -70,27 +96,25 @@ impl Histogram {
         for (i, &c) in counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return match i {
-                    0 => 0,
-                    63 => self.max_us.load(Ordering::Relaxed), // relaxed-ok: approximate snapshot
-                    _ => 1u64 << i,
-                };
+                return bucket_range(i).1.min(max);
             }
         }
-        self.max_us.load(Ordering::Relaxed) // relaxed-ok: approximate snapshot
+        max
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
-        // relaxed-ok: snapshots are documented as approximate under load
-        let counts: [u64; 64] = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let counts: [u64; BUCKETS] =
+            // relaxed-ok: snapshots are documented as approximate under load
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         let total: u64 = counts.iter().sum();
         let sum = self.sum_us.load(Ordering::Relaxed); // relaxed-ok: approximate snapshot
+        let max = self.max_us.load(Ordering::Relaxed); // relaxed-ok: approximate snapshot
         HistogramSnapshot {
             count: total,
             mean_us: if total == 0 { 0.0 } else { sum as f64 / total as f64 },
-            p50_us: self.quantile_us(&counts, total, 0.50),
-            p99_us: self.quantile_us(&counts, total, 0.99),
-            max_us: self.max_us.load(Ordering::Relaxed), // relaxed-ok: approximate snapshot
+            p50_us: Self::quantile_us(&counts, total, max, 0.50),
+            p99_us: Self::quantile_us(&counts, total, max, 0.99),
+            max_us: max,
         }
     }
 }
@@ -106,9 +130,10 @@ impl Default for Histogram {
 pub struct HistogramSnapshot {
     pub count: u64,
     pub mean_us: f64,
-    /// Median latency, rounded up to the enclosing power-of-two bucket edge.
+    /// Median latency, rounded up to the largest value of its bucket (at
+    /// most 12.5% high) and capped at `max_us`.
     pub p50_us: u64,
-    /// 99th-percentile latency, same bucket-edge rounding.
+    /// 99th-percentile latency, same rounding.
     pub p99_us: u64,
     pub max_us: u64,
 }
@@ -180,10 +205,10 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 100);
         assert_eq!(s.max_us, 10_000);
-        // 10µs lives in (8, 16]; p50 reports the upper edge.
-        assert_eq!(s.p50_us, 16);
+        // Below 16µs every value has its own bucket, so 10µs reads exactly.
+        assert_eq!(s.p50_us, 10);
         // p99 rank is 99 of 100 — still inside the fast bucket.
-        assert_eq!(s.p99_us, 16);
+        assert_eq!(s.p99_us, 10);
         assert!(s.mean_us > 10.0 && s.mean_us < 200.0);
     }
 
@@ -219,17 +244,41 @@ mod tests {
         assert!(s.mean_us >= (u64::MAX / 3) as f64, "mean collapsed: {}", s.mean_us);
     }
 
-    /// The top bucket is open-ended `[2^62, ∞)`: quantiles landing in it
-    /// report the observed max, not a fictitious power-of-two edge.
+    /// The top bucket ends at `u64::MAX`; quantiles never exceed the
+    /// observed max.
     #[test]
-    fn top_bucket_quantiles_report_the_observed_max() {
+    fn top_bucket_quantiles_stay_within_the_observed_max() {
         let h = Histogram::new();
-        h.record_us(1 << 62); // nominal top-bucket floor
-        h.record_us(u64::MAX); // beyond 2^63: folded into the same bucket
+        h.record_us(1 << 62);
+        h.record_us(u64::MAX);
         let s = h.snapshot();
         assert_eq!(s.count, 2);
-        assert_eq!(s.p50_us, u64::MAX);
+        // 2^62 sits in [2^62, 2^62 + 2^59): p50 reads that bucket's top.
+        assert_eq!(s.p50_us, (1 << 62) + (1 << 59) - 1);
         assert_eq!(s.p99_us, u64::MAX);
         assert_eq!(s.max_us, u64::MAX);
+        let h = Histogram::new();
+        h.record_us(9_000);
+        h.record_us(9_001);
+        // Both in [8192, 9216): the bucket top is capped at the max.
+        assert_eq!(h.snapshot().p50_us, 9_001);
+    }
+
+    /// The buckets tile `0..=u64::MAX` in order, and each is at most 1/8
+    /// as wide as its smallest value: the 12.5% resolution bound.
+    #[test]
+    fn buckets_tile_u64_with_an_eighth_resolution() {
+        assert_eq!(bucket_range(0), (0, 0));
+        assert_eq!(bucket_range(BUCKETS - 1).1, u64::MAX);
+        for i in 1..BUCKETS {
+            let (lo, hi) = bucket_range(i);
+            assert_eq!(lo, bucket_range(i - 1).1 + 1, "gap before bucket {i}");
+            assert!(lo <= hi);
+            assert!(hi - lo <= lo / 8, "bucket {i} [{lo}, {hi}] wider than 1/8");
+            assert_eq!((bucket_of(lo), bucket_of(hi)), (i, i));
+        }
+        // The ranges the old power-of-two buckets could not tell apart.
+        assert_ne!(bucket_of(9_000), bucket_of(15_000));
+        assert_eq!(bucket_range(bucket_of(9_000)), (8_192, 9_215));
     }
 }

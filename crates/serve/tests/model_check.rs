@@ -273,7 +273,7 @@ fn histogram_concurrent_record_model_is_clean() {
         assert_eq!(s.count, 4, "lost a concurrent record");
         assert_eq!(s.max_us, 10_000);
         assert!(s.p50_us <= s.p99_us, "quantiles must be monotone");
-        assert!(s.p99_us <= s.max_us.max(1 << 14));
+        assert!(s.p99_us <= s.max_us, "quantiles are capped at the max");
         let sum = (s.mean_us * s.count as f64).round() as u64;
         assert_eq!(sum, 10 + 10_000 + 10, "sum drifted under contention");
     });
